@@ -7,7 +7,11 @@
 //! ```text
 //! bench_summary [--out PATH] [--reps N] [--only PREFIX]...
 //!               [--baseline PATH [--gate METRIC]... [--tolerance PCT]]
+//!               [--help]
 //! ```
+//!
+//! An unknown argument exits 2 with the usage, and `--help` prints the
+//! usage and exits 0; neither runs a scenario or writes `--out`.
 //!
 //! `--only` restricts the run to metrics whose name starts with the
 //! given prefix (repeatable; whole sections are skipped when nothing in
@@ -20,17 +24,25 @@
 
 use pio_bench::summary::{self, BenchSummary};
 
+const USAGE: &str = "usage: bench_summary [--out PATH] [--reps N] [--only PREFIX]...
+                     [--baseline PATH [--gate METRIC]... [--tolerance PCT]]
+                     [--help]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
     let mut out = "BENCH_summary.json".to_string();
     let mut reps: Option<u32> = None;
     let mut only: Vec<String> = Vec::new();
     let mut baseline: Option<String> = None;
     let mut gates: Vec<String> = Vec::new();
     let mut tolerance = 25.0f64;
-    for (i, arg) in args.iter().enumerate() {
-        let value = || args.get(i + 1).cloned();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || args.next();
         match arg.as_str() {
+            "--help" => {
+                println!("{USAGE}");
+                return;
+            }
             "--out" => match value() {
                 Some(p) => out = p,
                 None => die("--out requires a path"),
@@ -55,7 +67,7 @@ fn main() {
                 Some(t) if t >= 0.0 => tolerance = t,
                 _ => die("--tolerance requires a non-negative percentage"),
             },
-            _ => {}
+            other => die(&format!("unknown argument {other}")),
         }
     }
 
@@ -105,7 +117,9 @@ fn main() {
     println!("wrote {out}");
 }
 
+/// Reject the command line: the message, the usage, exit 2 — before
+/// anything runs or `--out` is written.
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
+    eprintln!("error: {msg}\n{USAGE}");
     std::process::exit(2);
 }

@@ -401,6 +401,85 @@ pub fn ingest_trace(n: usize) -> Trace {
     t
 }
 
+/// A synthetic GCRM-shaped stream `ranks` wide, in four barrier phases.
+/// Each phase has one metadata write per rank, then two 1 MiB writes
+/// per rank with a 400-op serialized small-write storm on rank 0 woven
+/// in. Phase 0 is clean; from phase 1 on every 512th rank (starting
+/// at rank 5) straggles; phase 2 adds a hot stripe residue (mod 7) and
+/// phase 3 a two-level retry tail. Write windows therefore both miss
+/// and fire the shoulder, and a firing one has real attribution work —
+/// the cost that grows with ranks × window evaluations.
+pub fn wide_stream(ranks: u32) -> Vec<Record> {
+    const MIB: u64 = 1 << 20;
+    const STORM_OPS: u32 = 400;
+    let mut out = Vec::with_capacity(4 * (3 * ranks + STORM_OPS) as usize);
+    let rec = |rank, call, offset, bytes, start_s: f64, secs: f64, phase| {
+        let start_ns = (start_s * 1e9) as u64;
+        Record {
+            rank,
+            call,
+            fd: 3,
+            offset,
+            bytes,
+            start_ns,
+            end_ns: start_ns + (secs * 1e9) as u64,
+            phase,
+        }
+    };
+    for p in 0..4u32 {
+        let base = p as f64 * 30.0;
+        for r in 0..ranks {
+            let secs = 0.002 + (r % 5) as f64 * 0.0005;
+            out.push(rec(r, CallKind::MetaWrite, 0, 0, base, secs, p));
+        }
+        let mut storm = 0;
+        for j in 0..2u32 {
+            for r in 0..ranks {
+                let stripe = (p as u64 * ranks as u64 + r as u64) * 2 + j as u64;
+                let secs = if p >= 1 && r % 512 == 5 {
+                    6.0
+                } else if p == 2 && stripe % 7 == 3 {
+                    4.0
+                } else if p == 3 && (r + j) % 29 == 0 {
+                    2.5 + (r % 2) as f64 * 2.0
+                } else {
+                    0.5 + ((r * 7 + j * 3) % 13) as f64 * 0.01
+                };
+                let start = base + j as f64 * 6.0 + (r % 256) as f64 * 0.02;
+                out.push(rec(r, CallKind::Write, stripe * MIB, MIB, start, secs, p));
+                if r % 13 == 0 && storm < STORM_OPS {
+                    let start = base + 12.0 + storm as f64 * 0.05;
+                    out.push(rec(0, CallKind::MetaWrite, 0, 1024, start, 0.05, p));
+                    storm += 1;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Run a [`wide_stream`] through a default [`pio_ingest::StreamDiagnoser`]
+/// in `block`-record blocks (`block == 1` takes the per-record `push`
+/// path), closing each phase at its barrier, and finish it.
+pub fn diagnose_wide_stream(records: &[Record], block: usize) -> pio_ingest::StreamDiagnoser {
+    use pio_trace::RecordSink;
+    let mut d = pio_ingest::StreamDiagnoser::with_defaults();
+    for phase in records.chunk_by(|a, b| a.phase == b.phase) {
+        if block == 1 {
+            for r in phase {
+                d.push(r);
+            }
+        } else {
+            for chunk in phase.chunks(block) {
+                d.push_block(chunk);
+            }
+        }
+        d.phase_end(phase[0].phase);
+    }
+    d.finish();
+    d
+}
+
 /// The pre-fast-path JSONL loop (`serde_json` on every line) — kept as
 /// the in-file baseline the `ingest/parse_jsonl_1m` speedup is measured
 /// against.
@@ -553,6 +632,22 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
             black_box(s.count());
             durs.len() as u64
         }));
+    }
+
+    // The online diagnoser at the paper's GCRM width: 10,240 ranks, so a
+    // per-window cost proportional to ranks shows as ns/record.
+    if want("ingest/stream_diagnose_10k_ranks") {
+        let stream = wide_stream(10_240);
+        metrics.push(measure(
+            "ingest/stream_diagnose_10k_ranks",
+            "record",
+            r(3),
+            || {
+                let d = diagnose_wide_stream(&stream, 256);
+                black_box(d.findings().len());
+                d.records()
+            },
+        ));
     }
 
     // Trace-plane parse throughput: the same 1M-record trace through

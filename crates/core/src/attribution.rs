@@ -114,6 +114,25 @@ pub fn tail_bin_table() -> &'static BinTable {
     TABLE.get_or_init(|| BinTable::new(LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS)))
 }
 
+/// Geometric centres of the tail-profile bins, computed once. The tail
+/// scans read them instead of calling `powf` for every occupied bin of
+/// every rank on every call; each entry is bit-equal to
+/// `LogBins::center` on the shared geometry.
+fn tail_centers() -> &'static [f64; TAIL_HIST_BINS] {
+    static CENTERS: OnceLock<[f64; TAIL_HIST_BINS]> = OnceLock::new();
+    CENTERS.get_or_init(|| {
+        let geom = LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS);
+        std::array::from_fn(|i| geom.center(i))
+    })
+}
+
+/// First tail-profile bin whose centre is above `cut`. Centres ascend,
+/// so bins from here on are exactly those with `center > cut` (none
+/// for a NaN cut) and the tail scans start here.
+fn first_tail_bin(cut: f64) -> usize {
+    tail_centers().partition_point(|&c| c.partial_cmp(&cut) != Some(std::cmp::Ordering::Greater))
+}
+
 /// Per-rank slice of a [`TailProfile`].
 #[derive(Debug, Clone, PartialEq)]
 struct RankCell {
@@ -357,30 +376,39 @@ impl TailProfile {
     /// (slow on everything) from harmonic arbitration losers (slow on a
     /// rotating subset of operations).
     pub fn rank_correlated(&self, cut: f64, th: &Thresholds) -> Option<RankTail> {
+        #[cfg(test)]
+        if naive::enabled() {
+            return naive::rank_correlated(self, cut, th);
+        }
         let ranks_observed = self.ranks_observed();
         if ranks_observed < 8 {
             return None;
         }
+        let from = first_tail_bin(cut);
+        let centers = &tail_centers()[from..];
         // (rank, tail mass, total secs, total ops, tail events)
         let mut rows: Vec<(u32, f64, f64, u64, u64)> = self
             .rank_cells()
             .map(|(rank, cell)| {
                 let (mut mass, mut events) = (0.0, 0u64);
-                for (i, &c) in cell.counts.iter().enumerate() {
-                    if c > 0 && self.geom.center(i) > cut {
-                        mass += c as f64 * self.geom.center(i);
+                for (&c, &center) in cell.counts[from..].iter().zip(centers) {
+                    if c > 0 {
+                        mass += c as f64 * center;
                         events += c;
                     }
                 }
                 (rank, mass, cell.secs, cell.ops, events)
             })
             .collect();
-        rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let total_mass: f64 = rows.iter().map(|r| r.1).sum();
+        // Both early-outs are order-free, so they run before the sort.
         let total_events: u64 = rows.iter().map(|r| r.4).sum();
-        if total_mass <= 0.0 || (total_events as usize) < th.tail_min_events {
+        if total_events == 0 || (total_events as usize) < th.tail_min_events {
             return None;
         }
+        // Ranks are distinct, so the order is total and an unstable sort
+        // yields exactly the stable one.
+        rows.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let total_mass: f64 = rows.iter().map(|r| r.1).sum();
         // Smallest prefix of (tail-heaviest) ranks covering the share…
         let mut acc = 0.0;
         let mut k = 0;
@@ -436,6 +464,12 @@ impl TailProfile {
     /// events on one residue) carries no differential signal and is
     /// skipped.
     pub fn target_correlated(&self, cut: f64, th: &Thresholds) -> Option<TargetTail> {
+        #[cfg(test)]
+        if naive::enabled() {
+            return naive::target_correlated(self, cut, th);
+        }
+        let from = first_tail_bin(cut);
+        let centers = tail_centers();
         for (mi, &m) in MODULI.iter().enumerate() {
             let mut tails = vec![0.0f64; m];
             let mut bulks = vec![0.0f64; m];
@@ -447,10 +481,9 @@ impl TailProfile {
                     if c == 0 {
                         continue;
                     }
-                    let center = self.geom.center(i);
-                    let mass = c as f64 * center;
+                    let mass = c as f64 * centers[i];
                     ev[res] += c;
-                    if center > cut {
+                    if i >= from {
                         tails[res] += mass;
                         tail_ev[res] += c;
                     } else {
@@ -678,7 +711,22 @@ pub fn attribute_data_tail(
         return None;
     }
     let cut = th.tail_cut(median);
-    if profile.rank_correlated(cut, th).is_some() {
+    let rank_correlated = profile.rank_correlated(cut, th).is_some();
+    data_tail_chain(profile, hist, tail_starts, cut, rank_correlated, th)
+}
+
+/// [`attribute_data_tail`]'s priority chain at a fixed `cut`, with the
+/// O(ranks × bins) rank test already decided by the caller — the
+/// windowed attribution runs that test once and shares it.
+fn data_tail_chain(
+    profile: &TailProfile,
+    hist: &LogHistogram,
+    tail_starts: Option<&[f64]>,
+    cut: f64,
+    rank_correlated: bool,
+    th: &Thresholds,
+) -> Option<FaultClass> {
+    if rank_correlated {
         return Some(FaultClass::StragglerNode);
     }
     if let Some(starts) = tail_starts {
@@ -1001,11 +1049,13 @@ fn window_supports(class: FaultClass, slot: &WindowSlot, cut: f64, th: &Threshol
 
 /// Classes (excluding `known`) whose *global* test fires on the
 /// whole-run evidence — the candidate list an unexplained residue is
-/// ambiguous between.
+/// ambiguous between. `rank_correlated` is the global rank test's
+/// outcome, computed once by the caller.
 fn cofiring_classes(
     ev: &DataTailEvidence<'_>,
     starts: Option<&[f64]>,
     cut: f64,
+    rank_correlated: bool,
     th: &Thresholds,
     known: &[FaultClass],
 ) -> Vec<FaultClass> {
@@ -1015,10 +1065,7 @@ fn cofiring_classes(
             out.push(class);
         }
     };
-    consider(
-        FaultClass::StragglerNode,
-        ev.profile.rank_correlated(cut, th).is_some(),
-    );
+    consider(FaultClass::StragglerNode, rank_correlated);
     consider(
         FaultClass::SlowOst,
         ev.profile.target_correlated(cut, th).is_some(),
@@ -1068,7 +1115,20 @@ pub fn attribute_data_tail_windowed(
     }
     let cut = th.tail_cut(median);
     let starts: Option<Vec<f64>> = ev.events.map(|es| es.iter().map(|e| e.start_s()).collect());
-    let primary = attribute_data_tail(ev.profile, ev.hist, starts.as_deref(), median, th);
+    // The whole-run rank test feeds the primary chain, the co-firing
+    // candidates and the rank residual: run it once.
+    let rank_tail = ev.profile.rank_correlated(cut, th);
+    let cofiring = |known: &[FaultClass]| {
+        cofiring_classes(ev, starts.as_deref(), cut, rank_tail.is_some(), th, known)
+    };
+    let primary = data_tail_chain(
+        ev.profile,
+        ev.hist,
+        starts.as_deref(),
+        cut,
+        rank_tail.is_some(),
+        th,
+    );
 
     let mut confident: Vec<FaultClass> = primary.into_iter().collect();
     let mut unresolved: Vec<FaultClass> = Vec::new();
@@ -1097,12 +1157,6 @@ pub fn attribute_data_tail_windowed(
 
         // Pool a window subset and run the full chain over it.
         let pooled_verdict = |group: &[&Active<'_>]| -> Option<FaultClass> {
-            let mut profile = group[0].slot.profile.clone();
-            let mut hist = group[0].slot.hist.clone();
-            for a in &group[1..] {
-                profile.merge(&a.slot.profile);
-                hist.merge(&a.slot.hist);
-            }
             let idxs: Vec<usize> = group.iter().map(|a| a.idx).collect();
             let pooled_starts: Option<Vec<f64>> = ev.events.map(|es| {
                 es.iter()
@@ -1110,7 +1164,24 @@ pub fn attribute_data_tail_windowed(
                     .map(|e| e.start_s())
                     .collect()
             });
-            attribute_data_tail(&profile, &hist, pooled_starts.as_deref(), median, th)
+            let starts = pooled_starts.as_deref();
+            // A one-window pool is that window's own evidence: borrow it.
+            if let [only] = group {
+                return attribute_data_tail(
+                    &only.slot.profile,
+                    &only.slot.hist,
+                    starts,
+                    median,
+                    th,
+                );
+            }
+            let mut profile = group[0].slot.profile.clone();
+            let mut hist = group[0].slot.hist.clone();
+            for a in &group[1..] {
+                profile.merge(&a.slot.profile);
+                hist.merge(&a.slot.hist);
+            }
+            attribute_data_tail(&profile, &hist, starts, median, th)
         };
         let substantial = |events: u64, mass: f64| {
             (events as usize) >= th.tail_min_events && mass >= th.compound_share * total_mass
@@ -1128,13 +1199,7 @@ pub fn attribute_data_tail_windowed(
                     match pooled_verdict(&residue) {
                         Some(c) if c != p => confident.push(c),
                         Some(_) => {}
-                        None => unresolved.extend(cofiring_classes(
-                            ev,
-                            starts.as_deref(),
-                            cut,
-                            th,
-                            &confident,
-                        )),
+                        None => unresolved.extend(cofiring(&confident)),
                     }
                 }
             }
@@ -1176,13 +1241,7 @@ pub fn attribute_data_tail_windowed(
                 if !leftover.is_empty() && substantial(ev_n, mass) {
                     match pooled_verdict(&leftover) {
                         Some(c) => confident.push(c),
-                        None if !confident.is_empty() => unresolved.extend(cofiring_classes(
-                            ev,
-                            starts.as_deref(),
-                            cut,
-                            th,
-                            &confident,
-                        )),
+                        None if !confident.is_empty() => unresolved.extend(cofiring(&confident)),
                         None => {}
                     }
                 }
@@ -1192,7 +1251,7 @@ pub fn attribute_data_tail_windowed(
 
     // --- rank residual ---
     if primary == Some(FaultClass::StragglerNode) {
-        if let (Some(rt), Some(events)) = (ev.profile.rank_correlated(cut, th), ev.events) {
+        if let (Some(rt), Some(events)) = (&rank_tail, ev.events) {
             let residual: Vec<&TailEvent> = events
                 .iter()
                 .filter(|e| e.secs > cut && !rt.ranks.contains(&e.rank))
@@ -1211,7 +1270,7 @@ pub fn attribute_data_tail_windowed(
                 } else if quantized_tail_levels(&rh, cut, th.tail_min_events).is_some() {
                     confident.push(FaultClass::DropRetry);
                 } else {
-                    unresolved.extend(cofiring_classes(ev, starts.as_deref(), cut, th, &confident));
+                    unresolved.extend(cofiring(&confident));
                 }
             }
         }
@@ -1231,6 +1290,175 @@ pub fn attribute_data_tail_windowed(
         None
     } else {
         Some(Attribution::confident(confident))
+    }
+}
+
+/// Reference kernels for the tests: the tail scans as first written,
+/// calling `LogBins::center` for every occupied bin and sorting every
+/// rank. While [`naive::enable`]'s guard lives on a thread, the
+/// production kernels on that thread delegate here, so whole
+/// attributions can be recomputed on the reference path.
+#[cfg(test)]
+mod naive {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static ENABLED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Whether the calling thread routes kernels to the reference.
+    pub(super) fn enabled() -> bool {
+        ENABLED.with(Cell::get)
+    }
+
+    /// Route this thread's kernels to the reference until the guard
+    /// drops.
+    pub(super) fn enable() -> Guard {
+        ENABLED.with(|e| e.set(true));
+        Guard
+    }
+
+    pub(super) struct Guard;
+
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            ENABLED.with(|e| e.set(false));
+        }
+    }
+
+    /// [`TailProfile::rank_correlated`] as first written.
+    pub(super) fn rank_correlated(p: &TailProfile, cut: f64, th: &Thresholds) -> Option<RankTail> {
+        let ranks_observed = p.ranks_observed();
+        if ranks_observed < 8 {
+            return None;
+        }
+        // (rank, tail mass, total secs, total ops, tail events)
+        let mut rows: Vec<(u32, f64, f64, u64, u64)> = p
+            .rank_cells()
+            .map(|(rank, cell)| {
+                let (mut mass, mut events) = (0.0, 0u64);
+                for (i, &c) in cell.counts.iter().enumerate() {
+                    if c > 0 && p.geom.center(i) > cut {
+                        mass += c as f64 * p.geom.center(i);
+                        events += c;
+                    }
+                }
+                (rank, mass, cell.secs, cell.ops, events)
+            })
+            .collect();
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let total_mass: f64 = rows.iter().map(|r| r.1).sum();
+        let total_events: u64 = rows.iter().map(|r| r.4).sum();
+        if total_mass <= 0.0 || (total_events as usize) < th.tail_min_events {
+            return None;
+        }
+        // Smallest prefix of (tail-heaviest) ranks covering the share…
+        let mut acc = 0.0;
+        let mut k = 0;
+        while k < rows.len() && acc < th.tail_rank_share * total_mass {
+            acc += rows[k].1;
+            k += 1;
+        }
+        // …extended to peers of comparable mass, so a 4-rank node whose
+        // first 3 ranks already cover the share still names all 4.
+        while k < rows.len() && k > 0 && rows[k].1 >= 0.5 * rows[k - 1].1 && rows[k].1 > 0.0 {
+            acc += rows[k].1;
+            k += 1;
+        }
+        let rank_frac = k as f64 / ranks_observed as f64;
+        if rank_frac > th.tail_rank_frac {
+            return None;
+        }
+        let (mut cul_secs, mut cul_ops, mut rest_secs, mut rest_ops) = (0.0, 0u64, 0.0, 0u64);
+        for (i, r) in rows.iter().enumerate() {
+            if i < k {
+                cul_secs += r.2;
+                cul_ops += r.3;
+            } else {
+                rest_secs += r.2;
+                rest_ops += r.3;
+            }
+        }
+        if cul_ops == 0 || rest_ops == 0 {
+            return None;
+        }
+        let mean_ratio = (cul_secs / cul_ops as f64) / (rest_secs / rest_ops as f64).max(1e-300);
+        if mean_ratio < th.tail_mean_ratio {
+            return None;
+        }
+        let mut culprits: Vec<u32> = rows[..k].iter().map(|r| r.0).collect();
+        culprits.sort_unstable();
+        Some(RankTail {
+            ranks: culprits,
+            rank_frac,
+            tail_share: acc / total_mass,
+            mean_ratio,
+        })
+    }
+
+    /// [`TailProfile::target_correlated`] as first written.
+    pub(super) fn target_correlated(
+        p: &TailProfile,
+        cut: f64,
+        th: &Thresholds,
+    ) -> Option<TargetTail> {
+        for (mi, &m) in MODULI.iter().enumerate() {
+            let mut tails = vec![0.0f64; m];
+            let mut bulks = vec![0.0f64; m];
+            let mut tail_ev = vec![0u64; m];
+            let mut ev = vec![0u64; m];
+            for res in 0..m {
+                let counts = p.residue_row(mi, res);
+                for (i, &c) in counts.iter().enumerate() {
+                    if c == 0 {
+                        continue;
+                    }
+                    let center = p.geom.center(i);
+                    let mass = c as f64 * center;
+                    ev[res] += c;
+                    if center > cut {
+                        tails[res] += mass;
+                        tail_ev[res] += c;
+                    } else {
+                        bulks[res] += mass;
+                    }
+                }
+            }
+            let tail_total: f64 = tails.iter().sum();
+            let bulk_total: f64 = bulks.iter().sum();
+            let tail_ev_total: u64 = tail_ev.iter().sum();
+            if tail_total <= 0.0 || (tail_ev_total as usize) < th.tail_min_events {
+                continue;
+            }
+            let mut best = 0usize;
+            for r in 1..m {
+                if tails[r] > tails[best] {
+                    best = r;
+                }
+            }
+            let rest_ev: u64 = ev.iter().sum::<u64>() - ev[best];
+            if ev[best] == 0 || rest_ev == 0 {
+                continue;
+            }
+            let tail_share = tails[best] / tail_total;
+            let bulk_share = if bulk_total > 0.0 {
+                bulks[best] / bulk_total
+            } else {
+                0.0
+            };
+            let hot_rate = tail_ev[best] as f64 / ev[best] as f64;
+            let rest_rate = (tail_ev_total - tail_ev[best]) as f64 / rest_ev as f64;
+            if tail_share >= th.target_tail_share && hot_rate >= 2.5 * rest_rate {
+                return Some(TargetTail {
+                    modulus: m as u32,
+                    residue: best as u32,
+                    tail_share,
+                    bulk_share,
+                });
+            }
+        }
+        None
     }
 }
 
@@ -1720,5 +1948,123 @@ mod proptests {
             // windows compare bit-for-bit, boundary events included.
             prop_assert_eq!(build(&forward), build(&shuffled));
         }
+
+        /// The table-driven tail kernels — and a whole windowed
+        /// attribution built on them — are bit-identical to the
+        /// reference kernels that call `LogBins::center` per bin and
+        /// sort every rank. Ranks straddle the dense table's 4,096-rank
+        /// limit, durations sit on bin centres and one ulp either side,
+        /// and cuts land exactly on a centre, one ulp off it, or between
+        /// two centres.
+        #[test]
+        fn tail_kernels_match_the_per_bin_reference(
+            base in proptest::collection::vec(
+                (arb_rank(), 0u64..48, 0u64..40, 0usize..TAIL_HIST_BINS, 0u8..3),
+                20..300,
+            ),
+            stragglers in proptest::collection::vec(arb_rank(), 0..4),
+            hot_residue in 0u8..2,
+            slow_bin in 24usize..TAIL_HIST_BINS,
+            cut_bin in 0usize..TAIL_HIST_BINS,
+            cut_how in 0u8..4,
+        ) {
+            let geom = LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS);
+            let near = |bin: usize, how: u8| {
+                let c = geom.center(bin);
+                match how {
+                    0 => c,
+                    1 => c.next_down(),
+                    _ => c.next_up(),
+                }
+            };
+            // (rank, offset, start_ns, secs)
+            let mut records: Vec<(u32, u64, u64, f64)> = base
+                .iter()
+                .map(|&(rank, block, q, bin, how)| {
+                    (rank, block << 20, q * 500_000_000 + 3, near(bin, how))
+                })
+                .collect();
+            let slow = geom.center(slow_bin);
+            for &rank in &stragglers {
+                for i in 0..12u64 {
+                    records.push((rank, i << 20, i * 1_700_000_000 + 11, slow));
+                }
+            }
+            if hot_residue == 1 {
+                for block in (2..48u64).step_by(5) {
+                    records.push((block as u32 % 24, block << 20, block * 900_000_000, slow));
+                }
+            }
+            let cut = match cut_how {
+                0..=2 => near(cut_bin, cut_how),
+                _ => (geom.center(cut_bin) * geom.center((cut_bin + 1).min(TAIL_HIST_BINS - 1))).sqrt(),
+            };
+            prop_assert_eq!(
+                first_tail_bin(cut),
+                (0..TAIL_HIST_BINS).position(|i| geom.center(i) > cut).unwrap_or(TAIL_HIST_BINS)
+            );
+
+            let mut profile = TailProfile::new(1 << 20);
+            let mut hist = LogHistogram::new(TAIL_HIST_LO, TAIL_HIST_HI, 2 * TAIL_HIST_BINS);
+            let mut windows = WindowedProfile::new(2.0, 16, 1 << 20, 2 * TAIL_HIST_BINS);
+            let mut events = Vec::new();
+            for &(rank, offset, start_ns, secs) in &records {
+                profile.add(rank, offset, secs);
+                hist.add_clamped(secs);
+                windows.add(rank, offset, start_ns, secs);
+                if secs > cut {
+                    events.push(TailEvent { start_ns, rank, secs });
+                }
+            }
+            let ev = DataTailEvidence {
+                profile: &profile,
+                hist: &hist,
+                windows: Some(&windows),
+                events: Some(&events),
+            };
+            let th = th();
+            let run = || {
+                let slots: Vec<_> = windows
+                    .populated()
+                    .map(|(_, s)| {
+                        (s.profile.rank_correlated(cut, &th), s.profile.target_correlated(cut, &th))
+                    })
+                    .collect();
+                (
+                    profile.rank_correlated(cut, &th),
+                    profile.target_correlated(cut, &th),
+                    slots,
+                    // The median whose tail cut is exactly `cut`.
+                    attribute_data_tail_windowed(&ev, cut / 2.0, &th),
+                )
+            };
+            let fast = run();
+            let reference = {
+                let _reference_kernels = naive::enable();
+                run()
+            };
+            prop_assert_eq!(fast, reference);
+        }
+    }
+
+    /// Ranks on both sides of the dense table's 4,096-rank limit.
+    fn arb_rank() -> impl Strategy<Value = u32> {
+        (0usize..3, 0u32..24).prop_map(|(side, i)| [0, 4090, 9000][side] + i)
+    }
+
+    #[test]
+    fn tail_center_table_matches_the_geometry() {
+        let geom = LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS);
+        let centers = tail_centers();
+        for (i, c) in centers.iter().enumerate() {
+            assert_eq!(c.to_bits(), geom.center(i).to_bits(), "bin {i}");
+        }
+        assert!(
+            centers.windows(2).all(|w| w[0] < w[1]),
+            "centres must ascend"
+        );
+        assert_eq!(first_tail_bin(f64::NAN), TAIL_HIST_BINS);
+        assert_eq!(first_tail_bin(0.0), 0);
+        assert_eq!(first_tail_bin(f64::INFINITY), TAIL_HIST_BINS);
     }
 }

@@ -16,7 +16,10 @@
 //!   by rank and re-tests at each barrier.
 //!
 //! Memory is O(window bins + active phases × bins + heavy-hitter k):
-//! constant in the number of records.
+//! constant in the number of records. Time is O(1) per record plus
+//! O(ranks × bins) per window evaluation (the rank-correlated-tail
+//! re-test); the windowed attribution, which costs that again for
+//! every populated time window, runs only when a shoulder fires.
 
 use crate::sketch::{HeavyHitters, QuantileSketch};
 use pio_core::attribution::{
@@ -339,9 +342,20 @@ impl StreamDiagnoser {
         }
         if let (Some(median), Some(p99)) = (w.sketch.quantile(0.5), w.sketch.quantile(0.99)) {
             let tail = w.sketch.fraction_above(th.tail_cut(median));
-            let attribution = self.attribute(kind);
-            if let Some(f) = shoulder_verdict(kind, n, median, p99, tail, attribution, &th) {
-                raised.push(f);
+            // Attribution is O(ranks × bins) and only ever lands inside a
+            // `RightShoulder`, so it runs only once the shoulder fires —
+            // the same order as the batch `detect_right_shoulder`.
+            if shoulder_verdict(kind, n, median, p99, tail, None, &th).is_some() {
+                let attribution = self.attribute(kind);
+                raised.extend(shoulder_verdict(
+                    kind,
+                    n,
+                    median,
+                    p99,
+                    tail,
+                    attribution,
+                    &th,
+                ));
             }
         }
         for f in raised {
