@@ -44,11 +44,32 @@ pub struct LockStats {
     pub revoked: u64,
 }
 
+/// Stripes per lock-table page, as a power of two.
+const PAGE_SHIFT: u32 = 12;
+/// Stripes per lock-table page (4,096: 16 KiB of owners).
+const PAGE_STRIPES: usize = 1 << PAGE_SHIFT;
+/// Owner sentinel of a stripe nobody holds.
+const UNHELD: NodeId = NodeId::MAX;
+
+/// Owners of `PAGE_STRIPES` consecutive stripes of one file.
+type Page = [NodeId; PAGE_STRIPES];
+
 /// Lock table for all shared files.
+///
+/// Owners live in flat pages of [`PAGE_STRIPES`] stripes, indexed by
+/// stripe within the page and allocated on a file's first write into
+/// that stripe range. A shared file written end to end costs four bytes
+/// per stripe; a sparse one costs one page per touched range, however
+/// high its stripe numbers run. The page directory is keyed by
+/// `(file, page)` and stays small (a few hundred entries for a
+/// 600,000-stripe file), so a grant is one probe of a cache-resident
+/// table plus one array write.
 #[derive(Debug, Default)]
 pub struct LockMap {
-    /// (file, stripe) → owning node.
-    owners: FxHashMap<(u32, u64), NodeId>,
+    /// (file, stripe / PAGE_STRIPES) → owners of that stripe range.
+    pages: FxHashMap<(u32, u64), Box<Page>>,
+    /// Stripes currently held, over all files.
+    held: usize,
     grants: u64,
     conflicts: u64,
     rmws: u64,
@@ -69,20 +90,26 @@ impl LockMap {
         node: NodeId,
         full_stripe: bool,
     ) -> LockOutcome {
-        match self.owners.insert((file, stripe), node) {
-            None => {
-                self.grants += 1;
-                LockOutcome::Granted
+        debug_assert_ne!(node, UNHELD, "node id reserved for unheld stripes");
+        let page = self
+            .pages
+            .entry((file, stripe >> PAGE_SHIFT))
+            .or_insert_with(|| Box::new([UNHELD; PAGE_STRIPES]));
+        let slot = &mut page[stripe as usize & (PAGE_STRIPES - 1)];
+        let owner = std::mem::replace(slot, node);
+        if owner == UNHELD {
+            self.held += 1;
+            self.grants += 1;
+            LockOutcome::Granted
+        } else if owner == node {
+            LockOutcome::Owned
+        } else {
+            self.conflicts += 1;
+            let rmw = !full_stripe;
+            if rmw {
+                self.rmws += 1;
             }
-            Some(owner) if owner == node => LockOutcome::Owned,
-            Some(_) => {
-                self.conflicts += 1;
-                let rmw = !full_stripe;
-                if rmw {
-                    self.rmws += 1;
-                }
-                LockOutcome::Conflict { rmw }
-            }
+            LockOutcome::Conflict { rmw }
         }
     }
 
@@ -110,14 +137,21 @@ impl LockMap {
         self.rmws
     }
 
-    /// Drop all locks of a file (close/unlink).
+    /// Drop all locks of a file (close/unlink), freeing its pages.
     pub fn drop_file(&mut self, file: u32) {
-        self.owners.retain(|&(f, _), _| f != file);
+        let mut released = 0;
+        self.pages.retain(|&(f, _), page| {
+            if f == file {
+                released += page.iter().filter(|&&o| o != UNHELD).count();
+            }
+            f != file
+        });
+        self.held -= released;
     }
 
     /// Stripes currently locked.
     pub fn held(&self) -> usize {
-        self.owners.len()
+        self.held
     }
 }
 
@@ -216,5 +250,110 @@ mod tests {
             }
         }
         assert!(conflicts >= 7, "neighbour boundary stripes must conflict");
+    }
+
+    #[test]
+    fn pages_are_allocated_per_touched_range() {
+        let mut l = LockMap::new();
+        l.write_stripe(1, 0, 3, true);
+        l.write_stripe(1, PAGE_STRIPES as u64 - 1, 3, true);
+        assert_eq!(l.pages.len(), 1, "one page covers stripes 0..PAGE_STRIPES");
+        l.write_stripe(1, PAGE_STRIPES as u64, 3, true);
+        l.write_stripe(1, 1 << 44, 3, true);
+        assert_eq!(l.pages.len(), 3, "a high sparse stripe costs one page");
+        assert_eq!(l.held(), 4);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The map the paged table replaced: one `(file, stripe)` key per
+    /// held stripe, with the same counter semantics.
+    #[derive(Default)]
+    struct Reference {
+        owners: HashMap<(u32, u64), NodeId>,
+        grants: u64,
+        conflicts: u64,
+        rmws: u64,
+    }
+
+    impl Reference {
+        fn write_stripe(
+            &mut self,
+            file: u32,
+            stripe: u64,
+            node: NodeId,
+            full: bool,
+        ) -> LockOutcome {
+            match self.owners.insert((file, stripe), node) {
+                None => {
+                    self.grants += 1;
+                    LockOutcome::Granted
+                }
+                Some(owner) if owner == node => LockOutcome::Owned,
+                Some(_) => {
+                    self.conflicts += 1;
+                    if !full {
+                        self.rmws += 1;
+                    }
+                    LockOutcome::Conflict { rmw: !full }
+                }
+            }
+        }
+
+        fn drop_file(&mut self, file: u32) {
+            self.owners.retain(|&(f, _), _| f != file);
+        }
+    }
+
+    /// A stripe from one of four regimes: a few hot stripes (repeat
+    /// owners and conflicts), stripes straddling the first page
+    /// boundary, a dense multi-page range, and very sparse stripes far
+    /// above any written range.
+    fn stripe_of(class: u32, raw: u64) -> u64 {
+        let page = PAGE_STRIPES as u64;
+        match class {
+            0 => raw % 16,
+            1 => page - 4 + raw % 8,
+            2 => raw % (3 * page),
+            _ => (1 << 40) + (raw % 4) * (1 << 33) + (raw >> 8) % 3,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn paged_table_matches_hash_map_reference(
+            ops in proptest::collection::vec(
+                (0u32..24, 0u32..3, 0u32..4, 0u64..1_000_000, 0u32..5, 0u32..2),
+                1..400,
+            ),
+        ) {
+            let mut paged = LockMap::new();
+            let mut reference = Reference::default();
+            for (op, file, class, raw, node, full) in ops {
+                if op == 0 {
+                    paged.drop_file(file);
+                    reference.drop_file(file);
+                } else {
+                    let stripe = stripe_of(class, raw);
+                    let full = full == 1;
+                    prop_assert_eq!(
+                        paged.write_stripe(file, stripe, node, full),
+                        reference.write_stripe(file, stripe, node, full),
+                        "file {} stripe {} node {}", file, stripe, node
+                    );
+                }
+                prop_assert_eq!(paged.held(), reference.owners.len());
+                prop_assert_eq!(paged.grants(), reference.grants);
+                prop_assert_eq!(paged.conflicts(), reference.conflicts);
+                prop_assert_eq!(paged.rmws(), reference.rmws);
+            }
+        }
     }
 }

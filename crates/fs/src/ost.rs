@@ -53,6 +53,27 @@ impl Ost {
         rng: &mut SimRng,
     ) -> SimTime {
         let streaming = SimSpan::for_bytes(bytes, cfg.ost_bw);
+        self.serve(
+            at, bytes, streaming, stream, is_read, noise, extra, cfg, rng,
+        )
+    }
+
+    /// [`Ost::submit`] with the streaming term (`bytes / ost_bw`)
+    /// supplied by the caller, which computes it once for every
+    /// full-stripe RPC instead of once per RPC.
+    #[allow(clippy::too_many_arguments)]
+    pub fn serve(
+        &mut self,
+        at: SimTime,
+        bytes: u64,
+        streaming: SimSpan,
+        stream: u64,
+        is_read: bool,
+        noise: f64,
+        extra: SimSpan,
+        cfg: &FsConfig,
+        rng: &mut SimRng,
+    ) -> SimTime {
         let mut overhead = rng.lognormal(cfg.ost_overhead_median, cfg.ost_overhead_sigma);
         if self.last_stream != Some(stream) {
             if self.last_stream.is_some() {

@@ -32,9 +32,15 @@ use crate::ost::Ost;
 use crate::readahead::{ReadMode, ReadaheadTracker};
 use crate::stripe::StripeLayout;
 use crate::{FileId, NodeId};
-use pio_des::{FxHashMap, FxHashSet, MultiServiceCenter, ServiceCenter, SimRng, SimSpan, SimTime};
+use pio_des::{FxHashSet, MultiServiceCenter, ServiceCenter, SimRng, SimSpan, SimTime};
 
-/// Identifier of an in-flight (or recently submitted) I/O.
+/// Identifier of a live I/O: its slot in the simulator's I/O table.
+///
+/// An id is valid from [`FsSim::submit`] until its
+/// [`FsNotify::Done`] notification. After that the simulator may hand
+/// the same value to a later submission, so callers must not keep it.
+/// Id values never influence ordering: node token waiters are picked by
+/// position and the event queue orders by time and insertion.
 pub type IoId = u64;
 
 /// What kind of call an I/O request is.
@@ -132,6 +138,8 @@ pub struct FsStats {
 struct Rpc {
     offset: u64,
     len: u32,
+    /// Serving OST (from the stripe layout at grant time).
+    ost: u32,
     /// Extra OST service (RMW, RAID partial-stripe penalty).
     ost_extra: SimSpan,
     /// Client-local extra latency (degraded page fetches).
@@ -187,6 +195,25 @@ struct FileMeta {
     shared: bool,
 }
 
+/// Bandwidth-proportional service of one RPC at the client NIC, the
+/// fabric, and the OST's streaming term.
+#[derive(Debug, Clone, Copy)]
+struct RpcSpans {
+    nic: SimSpan,
+    fabric: SimSpan,
+    ost: SimSpan,
+}
+
+impl RpcSpans {
+    fn for_bytes(bytes: u64, cfg: &FsConfig) -> Self {
+        RpcSpans {
+            nic: SimSpan::for_bytes(bytes, cfg.nic_bw),
+            fabric: SimSpan::for_bytes(bytes, cfg.fabric_bw),
+            ost: SimSpan::for_bytes(bytes, cfg.ost_bw),
+        }
+    }
+}
+
 /// The file-system simulator.
 pub struct FsSim {
     cfg: FsConfig,
@@ -198,8 +225,13 @@ pub struct FsSim {
     files: Vec<FileMeta>,
     readahead: ReadaheadTracker,
     locks: LockMap,
-    ios: FxHashMap<IoId, IoState>,
-    next_io: IoId,
+    /// Live I/Os indexed by [`IoId`]: a slab whose retired slots are
+    /// reused, most recently freed first.
+    ios: Vec<Option<IoState>>,
+    /// Retired `ios` slots awaiting reuse.
+    free_ios: Vec<IoId>,
+    /// Spans of a full-stripe RPC, the common size, computed once.
+    full_stripe: RpcSpans,
     rng: SimRng,
     stats: FsStats,
     /// Per-node outstanding write RPCs (for flush quiescence).
@@ -339,8 +371,9 @@ impl FsSim {
             files: Vec::new(),
             readahead: ReadaheadTracker::new(),
             locks: LockMap::new(),
-            ios: FxHashMap::default(),
-            next_io: 1,
+            ios: Vec::new(),
+            free_ios: Vec::new(),
+            full_stripe: RpcSpans::for_bytes(cfg.stripe_bytes, &cfg),
             rng: SimRng::stream(seed, 0xF5),
             stats: FsStats::default(),
             node_wr_outstanding: vec![0; n_nodes as usize],
@@ -438,8 +471,6 @@ impl FsSim {
     /// Submit an I/O request at `now`. Completion is notified via
     /// [`FsNotify::Done`] in `out` (possibly after events run).
     pub fn submit(&mut self, now: SimTime, req: IoReq, out: &mut FsOut) -> IoId {
-        let io = self.next_io;
-        self.next_io += 1;
         debug_assert!((req.node as usize) < self.nodes.len(), "unknown node");
         debug_assert!(
             (req.file as usize) < self.files.len()
@@ -463,8 +494,9 @@ impl FsSim {
                     }
                 }
                 let done = self.mds.submit(now, demand);
-                self.ios.insert(io, self.meta_state(io, &req, now));
+                let io = self.insert(Self::meta_state(&req));
                 out.sched.push((done, FsEvent::MetaDone { io }));
+                io
             }
             IoKind::MetaWrite => {
                 self.stats.meta_ops += 1;
@@ -492,18 +524,20 @@ impl FsSim {
                     &self.cfg,
                     &mut self.rng,
                 );
-                self.ios.insert(io, self.meta_state(io, &req, now));
+                let io = self.insert(Self::meta_state(&req));
                 out.sched.push((done, FsEvent::MetaDone { io }));
+                io
             }
             IoKind::Flush => {
                 self.stats.flushes += 1;
                 let n = req.node as usize;
-                self.ios.insert(io, self.meta_state(io, &req, now));
+                let io = self.insert(Self::meta_state(&req));
                 if self.node_quiescent(req.node) {
                     out.sched.push((now, FsEvent::MetaDone { io }));
                 } else {
                     self.node_flush_waiters[n].push(io);
                 }
+                io
             }
             IoKind::Read | IoKind::Write => {
                 assert!(req.len > 0, "zero-length data I/O");
@@ -555,14 +589,14 @@ impl FsSim {
                     strided_severity: 0,
                     pressure_at_submit,
                 };
-                self.ios.insert(io, st);
+                let io = self.insert(st);
                 let granted = self.nodes[req.node as usize].acquire(io);
                 if granted {
                     self.grant(now, io, out);
                 }
+                io
             }
         }
-        io
     }
 
     /// Handle one of this model's events.
@@ -574,7 +608,7 @@ impl FsSim {
             }
             FsEvent::Accepted { io } => {
                 let (rank, node, all_done) = {
-                    let st = self.ios.get_mut(&io).expect("accepted io state");
+                    let st = self.io_mut(io);
                     st.returned = true;
                     (st.rank, st.node, st.done_rpcs as usize == st.rpcs.len())
                 };
@@ -590,17 +624,43 @@ impl FsSim {
 
     // ---- internal machinery -------------------------------------------
 
-    /// Remove a finished I/O, recycling its RPC-plan buffer for reuse by
-    /// a later `grant`.
+    /// Store a new I/O in a free slot; the slot index is its id.
+    fn insert(&mut self, st: IoState) -> IoId {
+        match self.free_ios.pop() {
+            Some(io) => {
+                self.ios[io as usize] = Some(st);
+                io
+            }
+            None => {
+                self.ios.push(Some(st));
+                (self.ios.len() - 1) as IoId
+            }
+        }
+    }
+
+    /// A live I/O's state. Panics on a retired id: every event and
+    /// waiter names a live I/O, so a miss is a bookkeeping bug.
+    fn io(&self, io: IoId) -> &IoState {
+        self.ios[io as usize].as_ref().expect("live io state")
+    }
+
+    /// Mutable [`FsSim::io`].
+    fn io_mut(&mut self, io: IoId) -> &mut IoState {
+        self.ios[io as usize].as_mut().expect("live io state")
+    }
+
+    /// Remove a finished I/O, freeing its slot and recycling its RPC-plan
+    /// buffer for reuse by a later `grant`.
     fn retire(&mut self, io: IoId) -> IoState {
-        let mut st = self.ios.remove(&io).expect("retire io state");
+        let mut st = self.ios[io as usize].take().expect("retire io state");
+        self.free_ios.push(io);
         let mut rpcs = std::mem::take(&mut st.rpcs);
         rpcs.clear();
         self.rpc_pool.push(rpcs);
         st
     }
 
-    fn meta_state(&self, _io: IoId, req: &IoReq, _now: SimTime) -> IoState {
+    fn meta_state(req: &IoReq) -> IoState {
         IoState {
             rank: req.rank,
             node: req.node,
@@ -639,7 +699,7 @@ impl FsSim {
     fn grant(&mut self, now: SimTime, io: IoId, out: &mut FsOut) {
         // Build the plan first (immutable config reads + rng).
         let (kind, node_id, file, offset, len, read_mode, pressure) = {
-            let st = self.ios.get(&io).expect("grant io state");
+            let st = self.io(io);
             (
                 st.kind,
                 st.node,
@@ -692,8 +752,7 @@ impl FsSim {
                                 sync = true;
                                 if rmw {
                                     // Read the stripe back before writing.
-                                    ost_extra +=
-                                        SimSpan::for_bytes(self.cfg.stripe_bytes, self.cfg.ost_bw);
+                                    ost_extra += self.full_stripe.ost;
                                 }
                             }
                             LockOutcome::Granted | LockOutcome::Owned => {}
@@ -702,6 +761,7 @@ impl FsSim {
                     rpcs.push(Rpc {
                         offset: ex.offset,
                         len: ex.len as u32,
+                        ost: ex.ost as u32,
                         ost_extra,
                         local_extra: SimSpan::ZERO,
                         revoke,
@@ -717,6 +777,7 @@ impl FsSim {
                     rpcs.push(Rpc {
                         offset: ex.offset,
                         len: ex.len as u32,
+                        ost: ex.ost as u32,
                         ost_extra: SimSpan::ZERO,
                         local_extra: SimSpan::ZERO,
                         revoke: false,
@@ -733,7 +794,7 @@ impl FsSim {
             _ => 0,
         };
         {
-            let st = self.ios.get_mut(&io).expect("grant io state");
+            let st = self.io_mut(io);
             st.granted_at = now;
             st.rpcs = rpcs;
             st.sync = sync;
@@ -746,10 +807,7 @@ impl FsSim {
         // otherwise it may still degrade mid-flight (see `pump`) once
         // interleaved writes fill the cache.
         if severity > 0 {
-            let sticky = {
-                let st = self.ios.get(&io).expect("grant io state");
-                self.degraded_streams.contains(&st.stream)
-            };
+            let sticky = self.degraded_streams.contains(&self.io(io).stream);
             if pressure || sticky {
                 self.degrade_read(io);
             }
@@ -759,13 +817,13 @@ impl FsSim {
             if sync {
                 // Synchronous path: no cache acceptance; completion at the
                 // last RPC.
-                let st = self.ios.get_mut(&io).expect("io state");
+                let st = self.io_mut(io);
                 st.accepted = st.len;
             } else {
                 let cache = self.cfg.cache_bytes;
                 let free = self.nodes[node_id as usize].free_cache(cache);
                 let (accepted_all, len_taken) = {
-                    let st = self.ios.get_mut(&io).expect("io state");
+                    let st = self.io_mut(io);
                     let take = free.min(st.len);
                     st.accepted = take;
                     (take == st.len, take)
@@ -774,13 +832,12 @@ impl FsSim {
                 // Reserve the node's shared ingest engine for the memcpy
                 // regardless of cache state; the call cannot return before
                 // the copy-in finishes.
-                let ingest_done = self.nodes[node_id as usize].ingest.submit(
-                    now,
-                    SimSpan::for_bytes(self.ios[&io].len, self.cfg.ingest_bw),
-                );
-                self.ios.get_mut(&io).expect("io state").ingest_done = ingest_done;
+                let ingest_done = self.nodes[node_id as usize]
+                    .ingest
+                    .submit(now, SimSpan::for_bytes(len, self.cfg.ingest_bw));
+                self.io_mut(io).ingest_done = ingest_done;
                 if accepted_all {
-                    let st = &self.ios[&io];
+                    let st = self.io(io);
                     let ret = stretch_accept(st.granted_at, ingest_done.max(now), st.stretch);
                     out.sched.push((ret, FsEvent::Accepted { io }));
                 } else {
@@ -796,7 +853,7 @@ impl FsSim {
     /// RPCs whose per-page cost scales with the window severity.
     fn degrade_read(&mut self, io: IoId) {
         let severity = {
-            let st = self.ios.get(&io).expect("degrade io state");
+            let st = self.io(io);
             if st.degraded || st.strided_severity == 0 {
                 return;
             }
@@ -807,7 +864,7 @@ impl FsSim {
             self.cfg.readahead.page_cost_sigma,
         );
         let page_bytes = self.cfg.readahead.page_bytes;
-        let st = self.ios.get_mut(&io).expect("degrade io state");
+        let st = self.ios[io as usize].as_mut().expect("live io state");
         st.degraded = true;
         st.window = 1;
         let from = st.next_rpc as usize;
@@ -825,26 +882,19 @@ impl FsSim {
         // Mid-flight degradation: a strided read whose node has since come
         // under memory pressure collapses to page-sized fetches for its
         // remaining extent.
-        if let Some(st) = self.ios.get(&io) {
-            if st.kind == IoKind::Read && !st.degraded && st.strided_severity > 0 {
-                let node = st.node as usize;
-                if self.nodes[node].under_pressure(
-                    now,
-                    self.cfg.cache_bytes,
-                    self.cfg.pressure_frac,
-                ) {
-                    self.degrade_read(io);
-                }
+        let st = self.io(io);
+        if st.kind == IoKind::Read && !st.degraded && st.strided_severity > 0 {
+            let node = st.node as usize;
+            if self.nodes[node].under_pressure(now, self.cfg.cache_bytes, self.cfg.pressure_frac) {
+                self.degrade_read(io);
             }
         }
-        // Split the borrow so each iteration pays a single map lookup:
-        // the I/O state stays mutably borrowed from `ios` while the
-        // service centers, RNG and counters are reached through their own
-        // disjoint fields.
+        // Split the borrow: the I/O state stays mutably borrowed from
+        // `ios` while the service centers, RNG and counters are reached
+        // through their own disjoint fields.
         let FsSim {
             ios,
             nodes,
-            files,
             fabric,
             dlm,
             osts,
@@ -854,11 +904,12 @@ impl FsSim {
             fault_expiry,
             stats,
             node_wr_outstanding,
+            full_stripe,
             ..
         } = self;
         let fault_expiry = *fault_expiry;
+        let st = ios[io as usize].as_mut().expect("live io state");
         loop {
-            let Some(st) = ios.get_mut(&io) else { return };
             if st.inflight >= st.window || (st.next_rpc as usize) >= st.rpcs.len() {
                 return;
             }
@@ -873,21 +924,25 @@ impl FsSim {
             }
             let (node_id, stream, noise, is_write) =
                 (st.node, st.stream, st.noise, st.kind == IoKind::Write);
-            let layout = files[st.file as usize].layout;
             st.next_rpc += 1;
             st.inflight += 1;
 
             let bytes = rpc.len as u64;
-            let ost = layout.ost_of_stripe(layout.stripe_of(rpc.offset));
+            let ost = rpc.ost as usize;
+            let spans = if bytes == cfg.stripe_bytes {
+                *full_stripe
+            } else {
+                RpcSpans::for_bytes(bytes, cfg)
+            };
             // Fault hooks (inert when no injector is installed): extra
             // per-stage demand plus a client-side drop/retry delay before
             // the RPC is (re)transmitted.
             let (drop_delay, nic_x, fab_x, ost_x) = match fault.as_deref_mut() {
                 Some(f) if now.nanos() < fault_expiry => (
                     f.rpc_drop_delay(now),
-                    f.nic_extra(now, node_id, SimSpan::for_bytes(bytes, cfg.nic_bw)),
-                    f.fabric_extra(now, SimSpan::for_bytes(bytes, cfg.fabric_bw)),
-                    f.ost_extra(now, ost, SimSpan::for_bytes(bytes, cfg.ost_bw), !is_write),
+                    f.nic_extra(now, node_id, spans.nic),
+                    f.fabric_extra(now, spans.fabric),
+                    f.ost_extra(now, ost, spans.ost, !is_write),
                 ),
                 _ => (SimSpan::ZERO, SimSpan::ZERO, SimSpan::ZERO, SimSpan::ZERO),
             };
@@ -899,13 +954,12 @@ impl FsSim {
             } else {
                 now
             };
-            let t_nic = nodes[node_id as usize]
-                .nic
-                .submit(start, SimSpan::for_bytes(bytes, cfg.nic_bw));
-            let t_fab = fabric.submit(t_nic, SimSpan::for_bytes(bytes, cfg.fabric_bw) + fab_x);
-            let t_ost = osts[ost].submit(
+            let t_nic = nodes[node_id as usize].nic.submit(start, spans.nic);
+            let t_fab = fabric.submit(t_nic, spans.fabric + fab_x);
+            let t_ost = osts[ost].serve(
                 t_fab,
                 bytes,
+                spans.ost,
                 stream,
                 !is_write,
                 noise,
@@ -935,7 +989,7 @@ impl FsSim {
 
     fn rpc_done(&mut self, now: SimTime, io: IoId, idx: u32, out: &mut FsOut) {
         let (kind, node_id, rpc_len, sync, returned) = {
-            let st = self.ios.get_mut(&io).expect("rpc io state");
+            let st = self.io_mut(io);
             st.inflight -= 1;
             st.done_rpcs += 1;
             (
@@ -960,7 +1014,7 @@ impl FsSim {
         self.pump(now, io, out);
 
         let (all_done, rank) = {
-            let st = self.ios.get(&io).expect("rpc io state");
+            let st = self.io(io);
             (
                 st.done_rpcs as usize == st.rpcs.len() && st.inflight == 0,
                 st.rank,
@@ -1012,7 +1066,7 @@ impl FsSim {
                 return;
             };
             let (take, fully, ret) = {
-                let st = self.ios.get_mut(&front).expect("blocked io state");
+                let st = self.io_mut(front);
                 let take = free.min(st.len - st.accepted);
                 st.accepted += take;
                 let ret = stretch_accept(st.granted_at, st.ingest_done.max(now), st.stretch);
@@ -1581,5 +1635,99 @@ mod tests {
         let ost_bytes: u64 = (0..4).map(|i| sim.world.fs.ost(i).bytes()).sum();
         assert_eq!(ost_bytes, expect_w + expect_r);
         assert_eq!(sim.world.fs.node(0).dirty + sim.world.fs.node(1).dirty, 0);
+    }
+
+    #[test]
+    fn slab_slots_are_reused_without_serving_stale_ids() {
+        // Thousands of overlapping I/Os of every kind, submitted in small
+        // batches while earlier ones are still in flight. Each submission
+        // gets a unique tag in its `rank` field; a notification must name
+        // the tag of the I/O that holds the id right now.
+        let mut sim = world(FsConfig::tiny_test(), 2);
+        let private = sim.world.fs.register_file(false);
+        let shared = sim.world.fs.register_file(true);
+        type Live = std::collections::HashMap<IoId, u32>;
+        fn deliver(sim: &mut Simulator<FsWorld>, live: &mut Live) {
+            for (_, io, tag) in sim.world.done.drain(..) {
+                assert_eq!(
+                    live.remove(&io),
+                    Some(tag),
+                    "io {io} served to a stale holder"
+                );
+            }
+        }
+        let mut live = Live::default();
+        let (mut wrote, mut read, mut meta_bytes) = (0u64, 0u64, 0u64);
+        let mut submitted = 0u32;
+        for round in 0..600u64 {
+            for k in 0..8u64 {
+                let node = ((round + k) % 2) as NodeId;
+                let at = (round * 8 + k) * 3 * MB;
+                let (file, kind, offset, len) = match k {
+                    0 | 1 => (private, IoKind::Write, at, MB + k * 300_000),
+                    2 => (shared, IoKind::Write, (round % 16) * MB + MB / 2, MB),
+                    3 => (private, IoKind::Read, at, 2 * MB),
+                    4 => (shared, IoKind::MetaWrite, round * 4096, 2048),
+                    5 => (private, IoKind::Open, 0, 0),
+                    6 => (private, IoKind::Close, 0, 0),
+                    _ => (private, IoKind::Flush, 0, 0),
+                };
+                match kind {
+                    IoKind::Write => wrote += len,
+                    IoKind::Read => read += len,
+                    IoKind::MetaWrite => meta_bytes += len,
+                    _ => {}
+                }
+                let now = sim.now();
+                let io = submit(&mut sim, now, req(submitted, node, file, kind, offset, len));
+                assert!(
+                    live.insert(io, submitted).is_none(),
+                    "id {io} reused while live"
+                );
+                submitted += 1;
+            }
+            // Mostly short steps, so new I/Os take slots while earlier
+            // ones are in flight; every fourth step lets the backlog drain.
+            let step = if round % 4 == 3 { 0.1 } else { 0.01 };
+            let horizon = sim.now() + SimSpan::from_secs_f64(step);
+            sim.run_until(horizon);
+            deliver(&mut sim, &mut live);
+        }
+        sim.run();
+        deliver(&mut sim, &mut live);
+        assert!(live.is_empty(), "{} I/Os never returned", live.len());
+
+        let fs = &sim.world.fs;
+        assert!(
+            fs.ios.len() > 8 && fs.ios.len() < submitted as usize / 20,
+            "{} slots for {submitted} I/Os: batches must overlap and slots be reused",
+            fs.ios.len()
+        );
+        assert!(fs.ios.iter().all(Option::is_none), "every I/O retired");
+        assert_eq!(fs.free_ios.len(), fs.ios.len());
+        assert!(fs.lock_stats().contended > 0, "shared writes conflicted");
+        assert_eq!(fs.stats().bytes_written, wrote);
+        assert_eq!(fs.stats().bytes_read, read);
+        let ost_bytes: u64 = (0..4).map(|i| fs.ost(i).bytes()).sum();
+        assert_eq!(ost_bytes, wrote + read + meta_bytes);
+        for node in 0..2 {
+            assert_eq!(fs.node(node).dirty, 0);
+            assert_eq!(fs.node_wr_outstanding[node as usize], 0);
+            assert!(fs.node_flush_waiters[node as usize].is_empty());
+        }
+
+        // A quiescent node flushes at once, in a reused slot.
+        let now = sim.now();
+        let io = submit(
+            &mut sim,
+            now,
+            req(submitted, 0, private, IoKind::Flush, 0, 0),
+        );
+        assert!(
+            (io as usize) < sim.world.fs.ios.len(),
+            "flush reuses a slot"
+        );
+        sim.run();
+        assert_eq!(sim.world.done, vec![(now, io, submitted)]);
     }
 }

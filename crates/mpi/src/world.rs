@@ -97,6 +97,10 @@ pub struct MpiWorld<'s> {
     rng: SimRng,
     finished: u32,
     fsout: FsOut,
+    /// Emptied notification buffers, swapped into `fsout` while a batch
+    /// is being delivered (delivery re-enters the file system), so the
+    /// hand-off allocates nothing in steady state.
+    notify_spare: Vec<Vec<FsNotify>>,
     /// Optional message-layer fault hooks (drop-with-retry delays on
     /// point-to-point sends). `None` costs nothing — no hook calls, no
     /// RNG draws — so fault-free runs are bit-identical to a build
@@ -138,6 +142,7 @@ impl<'s> MpiWorld<'s> {
             rng: SimRng::stream(seed, 0xA1),
             finished: 0,
             fsout: FsOut::new(),
+            notify_spare: Vec::new(),
             fault: None,
             fault_expiry: u64::MAX,
         }
@@ -214,15 +219,24 @@ impl<'s> MpiWorld<'s> {
         }
     }
 
+    /// Move the file system's output onto the scheduler and deliver its
+    /// call returns in order. Each delivery may step a rank into another
+    /// `submit_fs`, which drains its own output recursively before the
+    /// next return of this batch is delivered.
     fn drain_fsout(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let sched_items: Vec<_> = self.fsout.sched.drain(..).collect();
-        let notify_items: Vec<_> = self.fsout.notify.drain(..).collect();
-        for (t, e) in sched_items {
+        for (t, e) in self.fsout.sched.drain(..) {
             sched.at(t, Ev::Fs(e));
         }
-        for FsNotify::Done { io: _, rank } in notify_items {
+        if self.fsout.notify.is_empty() {
+            return;
+        }
+        let spare = self.notify_spare.pop().unwrap_or_default();
+        let mut batch = std::mem::replace(&mut self.fsout.notify, spare);
+        for &FsNotify::Done { io: _, rank } in &batch {
             self.complete_io(now, rank, sched);
         }
+        batch.clear();
+        self.notify_spare.push(batch);
     }
 
     /// The rank's pending fs-bound call returned: record it and advance.
