@@ -342,6 +342,38 @@ fn fleetd_ingest(trace: &Trace) -> u64 {
     total
 }
 
+/// Short-tenant fleet traffic: 48 tenants of ~1.3k records each (a
+/// 100-rank [`wide_stream`], each phase closed at its barrier) streamed
+/// one after another in service-sized blocks into a fresh 1-worker
+/// service, then the machine roll-up. Spread over so few records, the
+/// fixed cost of opening a tenant (its diagnoser and snapshot builder)
+/// shows here, where the 8×50k metrics amortise it away.
+fn fleetd_short_tenants(records: &[Record]) -> u64 {
+    use pio_fleetd::{FleetConfig, FleetService};
+    use pio_trace::RecordSink;
+    const TENANTS: usize = 48;
+    const BATCH: usize = 256;
+    let mut svc = FleetService::new(FleetConfig {
+        workers: 1,
+        batch: BATCH,
+        ..FleetConfig::default()
+    });
+    for j in 0..TENANTS {
+        let mut sink = svc.register(&format!("tenant-{j}"));
+        for phase in records.chunk_by(|a, b| a.phase == b.phase) {
+            for chunk in phase.chunks(BATCH) {
+                sink.push_block(chunk);
+            }
+            sink.phase_end(phase[0].phase);
+        }
+        sink.finish();
+    }
+    svc.shutdown();
+    let total = svc.rollup().ingested;
+    assert_eq!(total, (TENANTS * records.len()) as u64);
+    total
+}
+
 /// The analytical pipeline of one fleet tenant — stream diagnoser,
 /// ensemble-snapshot sketch, per-OST usage ledger, top-k slow-op
 /// tracking — run serially over the same 8×50k record load as
@@ -782,6 +814,16 @@ pub fn run_filtered(reps: Option<u32>, only: &[String]) -> BenchSummary {
                 || fleetd_pipeline_serial(&fleet_trace),
             ));
         }
+    }
+
+    if want("fleetd/tenants_48x1k_pool1") {
+        let tenant = wide_stream(100);
+        metrics.push(measure(
+            "fleetd/tenants_48x1k_pool1",
+            "record",
+            r(5),
+            || fleetd_short_tenants(&tenant),
+        ));
     }
 
     BenchSummary {

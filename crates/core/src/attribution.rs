@@ -108,10 +108,10 @@ impl std::fmt::Display for FaultClass {
 /// The process-wide [`BinTable`] for the shared tail-profile geometry
 /// (`TAIL_HIST_LO..TAIL_HIST_HI` × `TAIL_HIST_BINS`) — every profile
 /// uses the same constants, so batch ingest paths classify against one
-/// table instead of calling `ln` per record.
+/// table instead of calling `ln` per record. Each call is a
+/// [`BinTable::shared`] lookup; hot paths hold the returned reference.
 pub fn tail_bin_table() -> &'static BinTable {
-    static TABLE: OnceLock<BinTable> = OnceLock::new();
-    TABLE.get_or_init(|| BinTable::new(LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS)))
+    BinTable::shared(LogBins::new(TAIL_HIST_LO, TAIL_HIST_HI, TAIL_HIST_BINS))
 }
 
 /// Geometric centres of the tail-profile bins, computed once. The tail

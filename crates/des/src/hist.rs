@@ -10,6 +10,7 @@
 //! which is what makes per-shard and per-rank collection safe.
 
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, PoisonError};
 
 /// Where a value lands relative to a [`LogBins`] geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,6 +208,34 @@ impl BinTable {
             edges,
             exact,
         }
+    }
+
+    /// The process-wide table for `geom`, built by [`Self::new`] on
+    /// first use and shared by every later caller with the same
+    /// `(lo, hi, bins)`.
+    ///
+    /// Construction bisects every bin edge through `ln` (~170 µs for
+    /// the 96-bin duration geometry), which dominates the start-up of a
+    /// short-lived consumer such as a fleet tenant; lookups of an
+    /// existing table cost one uncontended lock and a scan.
+    ///
+    /// Tables are never freed: the registry holds one per *distinct
+    /// geometry* asked for in the process, so memory is bounded by the
+    /// number of configured geometries (8 KiB of octave index plus 8 B
+    /// per bin each), not by how many consumers are built. Concurrent
+    /// first use of a geometry yields a single table — construction
+    /// runs under the registry lock.
+    pub fn shared(geom: LogBins) -> &'static BinTable {
+        static REGISTRY: Mutex<Vec<&'static BinTable>> = Mutex::new(Vec::new());
+        // Poison-tolerant: a panic inside `new` happens before the push,
+        // so the registry is never left half-updated.
+        let mut tables = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = tables.iter().copied().find(|t| t.geom == geom) {
+            return t;
+        }
+        let table: &'static BinTable = Box::leak(Box::new(BinTable::new(geom)));
+        tables.push(table);
+        table
     }
 
     /// The geometry this table classifies for.
@@ -531,44 +560,101 @@ mod tests {
         ]
     }
 
+    /// Specials (zeros, negatives, NaN, infinities, subnormals), the
+    /// range bounds, and every bin boundary and centre ± 64 ULPs.
+    fn probes(g: LogBins) -> Vec<f64> {
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            5e-324,
+            g.lo(),
+            g.hi(),
+            f64::MAX,
+        ];
+        for i in 0..g.bins() {
+            let e = g.edges(i);
+            for anchor in [e.left, e.right, g.center(i)] {
+                let bits = anchor.to_bits();
+                for d in 0..64u64 {
+                    probes.push(f64::from_bits(bits.wrapping_add(d)));
+                    probes.push(f64::from_bits(bits.wrapping_sub(d)));
+                }
+            }
+        }
+        probes
+    }
+
+    fn assert_matches_reference(t: &BinTable, g: LogBins) {
+        for v in probes(g) {
+            assert_eq!(t.slot(v), g.slot(v), "slot({v:e}) on {g:?}");
+            assert_eq!(
+                t.index_clamped(v),
+                g.index_clamped(v),
+                "index_clamped({v:e}) on {g:?}"
+            );
+        }
+    }
+
     #[test]
     fn bin_table_matches_reference_on_specials_and_edges() {
         for g in table_geometries() {
             let t = BinTable::new(g);
             assert!(t.is_exact(), "expected exact table for {g:?}");
-            let mut probes = vec![
-                0.0,
-                -0.0,
-                -1.0,
-                f64::NAN,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-                f64::MIN_POSITIVE,
-                5e-324,
-                g.lo(),
-                g.hi(),
-                f64::MAX,
-            ];
-            // Every bin boundary ± 64 ULPs, plus exact edges/centers.
-            for i in 0..g.bins() {
-                let e = g.edges(i);
-                for anchor in [e.left, e.right, g.center(i)] {
-                    let bits = anchor.to_bits();
-                    for d in 0..64u64 {
-                        probes.push(f64::from_bits(bits.wrapping_add(d)));
-                        probes.push(f64::from_bits(bits.wrapping_sub(d)));
-                    }
-                }
-            }
-            for v in probes {
-                assert_eq!(t.slot(v), g.slot(v), "slot({v:e}) on {g:?}");
-                assert_eq!(
-                    t.index_clamped(v),
-                    g.index_clamped(v),
-                    "index_clamped({v:e}) on {g:?}"
-                );
-            }
+            assert_matches_reference(&t, g);
         }
+    }
+
+    #[test]
+    fn shared_table_is_one_per_geometry_and_matches_reference() {
+        let geoms = table_geometries();
+        let tables: Vec<&'static BinTable> = geoms.iter().map(|&g| BinTable::shared(g)).collect();
+        for (i, (&g, &t)) in geoms.iter().zip(&tables).enumerate() {
+            assert!(std::ptr::eq(t, BinTable::shared(g)), "{g:?} rebuilt");
+            assert_eq!(t.geometry(), g);
+            assert!(t.is_exact(), "expected exact table for {g:?}");
+            for &other in &tables[i + 1..] {
+                assert!(!std::ptr::eq(t, other), "{g:?} shares a table");
+            }
+            assert_matches_reference(t, g);
+        }
+        // Same range, different resolution: a distinct table.
+        let fine = BinTable::shared(LogBins::new(1e-6, 1e3, 97));
+        assert!(!std::ptr::eq(fine, tables[0]));
+        assert_eq!(fine.geometry().bins(), 97);
+    }
+
+    #[test]
+    fn shared_table_concurrent_first_use_builds_one() {
+        // A geometry no other test asks for, so this test's threads are
+        // its first users; the barrier lines them up on the first call.
+        let g = LogBins::new(3e-5, 7e2, 41);
+        let start = std::sync::Barrier::new(4);
+        let tables: Vec<&'static BinTable> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        BinTable::shared(g)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shared() panicked"))
+                .collect()
+        });
+        for t in &tables {
+            assert!(
+                std::ptr::eq(*t, tables[0]),
+                "concurrent first use built two tables"
+            );
+        }
+        assert!(std::ptr::eq(tables[0], BinTable::shared(g)));
     }
 
     #[test]

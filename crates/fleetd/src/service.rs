@@ -530,22 +530,31 @@ impl FleetService {
     /// and live) merged in job-id order. The canonical fold order makes
     /// the result identical across pool sizes and completion
     /// interleavings once the same streams have been processed.
+    ///
+    /// Completed sketches are folded in place under the `completed`
+    /// lock; only live tenants are snapshotted. Workers never hold a
+    /// live-map lock while taking `completed`, so holding `completed`
+    /// while visiting the live maps cannot deadlock.
     pub fn rollup(&self) -> EnsembleSnapshot {
-        let mut parts: Vec<(JobId, EnsembleSnapshot)> = self
-            .completed
-            .lock()
-            .iter()
-            .map(|(&id, r)| (id, r.snapshot.clone()))
-            .collect();
+        let done = self.completed.lock();
+        let mut live: Vec<(JobId, EnsembleSnapshot)> = Vec::new();
         for map in &self.live {
             let map = map.lock();
             for (&id, st) in map.iter() {
-                parts.push((id, st.builder.snapshot(st.meter.shed())));
+                live.push((id, st.builder.snapshot(st.meter.shed())));
             }
         }
-        parts.sort_by_key(|(id, _)| *id);
+        live.sort_by_key(|(id, _)| *id);
+        // Merge-walk the two id-ascending sequences.
+        let mut live = live.into_iter().peekable();
         let mut acc = EnsembleSnapshot::empty(&self.cfg.snapshot);
-        for (_, snap) in parts {
+        for (&id, report) in done.iter() {
+            while let Some((_, snap)) = live.next_if(|(live_id, _)| *live_id < id) {
+                acc.merge(&snap);
+            }
+            acc.merge(&report.snapshot);
+        }
+        for (_, snap) in live {
             acc.merge(&snap);
         }
         acc
@@ -612,7 +621,9 @@ impl JobSink {
         if self.pending.is_empty() {
             return;
         }
-        let records = std::mem::take(&mut self.pending);
+        // A fresh full-capacity buffer, so the next block fills without
+        // regrowing from empty.
+        let records = std::mem::replace(&mut self.pending, Vec::with_capacity(self.batch));
         let n = records.len() as u64;
         let msg = Msg::Block {
             job: self.job,
@@ -962,6 +973,65 @@ mod tests {
             acc
         };
         assert_eq!(roll(&one), roll(&eight));
+    }
+
+    #[test]
+    fn rollup_equals_reference_fold_with_live_tenants_interleaved() {
+        // Ids 1 and 4 stay live, so the merge walk has to slot live
+        // snapshots between completed ones (and after the last).
+        let mut svc = FleetService::new(cfg(3));
+        let sizes = [300usize, 450, 700, 520, 380, 610];
+        let live_ids = [1u64, 4];
+        let mut live_sinks = Vec::new();
+        for (j, &n) in sizes.iter().enumerate() {
+            let mut sink = svc.register(&format!("job-{j}"));
+            for r in stream(n, 4 + j as u32) {
+                sink.push(&r);
+            }
+            if live_ids.contains(&sink.id()) {
+                sink.phase_end(0); // ships the partial block, keeps the job live
+                live_sinks.push(sink);
+            } else {
+                sink.finish();
+            }
+        }
+        // Wait until every worker has processed what was sent.
+        let settled = |svc: &FleetService| {
+            sizes.iter().enumerate().all(|(id, &n)| {
+                let id = id as JobId;
+                if live_ids.contains(&id) {
+                    svc.snapshot(id).map(|s| s.ingested) == Some(n as u64)
+                } else {
+                    svc.report(id).is_some()
+                }
+            })
+        };
+        for _ in 0..2_000 {
+            if settled(&svc) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(settled(&svc), "workers did not drain");
+        assert_eq!(svc.live_jobs(), live_ids.len());
+
+        let reference = |svc: &FleetService| {
+            let mut acc = EnsembleSnapshot::empty(&svc.cfg.snapshot);
+            for id in 0..sizes.len() as JobId {
+                acc.merge(&svc.snapshot(id).expect("known job"));
+            }
+            acc
+        };
+        assert_eq!(svc.rollup(), reference(&svc));
+
+        for mut sink in live_sinks {
+            sink.finish();
+        }
+        svc.shutdown();
+        assert_eq!(svc.live_jobs(), 0);
+        assert_eq!(svc.rollup(), reference(&svc));
+        let total: u64 = sizes.iter().map(|&n| n as u64).sum();
+        assert_eq!(svc.rollup().ingested, total);
     }
 
     #[test]

@@ -213,8 +213,11 @@ impl SmallWriteState {
 /// log-domain arithmetic and stays the reference implementation.
 pub struct StreamDiagnoser {
     cfg: DiagnoserConfig,
-    /// Bit-exact bin classifier for the configured duration geometry.
-    table: BinTable,
+    /// Bit-exact bin classifier for the configured duration geometry
+    /// (process-wide, shared with every same-geometry consumer).
+    table: &'static BinTable,
+    /// The tail-profile classifier ([`tail_bin_table`]).
+    tail_table: &'static BinTable,
     /// The configured geometry is the tail geometry at exactly double
     /// resolution (same range, 2× bins), so a tail bin is the configured
     /// bin halved: `floor(f·2n)/2 = floor(f·n)` exactly, range checks and
@@ -249,18 +252,20 @@ impl StreamDiagnoser {
     pub fn new(cfg: DiagnoserConfig) -> Self {
         let hitters = HeavyHitters::new(cfg.hitter_capacity);
         let small = SmallWriteState::new(cfg.hitter_capacity);
-        let table = BinTable::new(LogBins::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins));
+        let table = BinTable::shared(LogBins::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins));
+        let tail_table = tail_bin_table();
         let mut watch_mask = [false; KINDS];
         for k in &cfg.watch {
             watch_mask[*k as usize] = true;
         }
-        let tg = tail_bin_table().geometry();
+        let tg = tail_table.geometry();
         let tail_nested =
             cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi() && cfg.hist_bins == 2 * tg.bins();
         let slot_fine_direct = cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi();
         StreamDiagnoser {
             cfg,
             table,
+            tail_table,
             tail_nested,
             slot_fine_direct,
             watch_mask,
@@ -609,7 +614,7 @@ impl RecordSink for StreamDiagnoser {
         // `current_phase` advance per record so a window that fills
         // mid-block raises its finding with the exact same
         // `after_records` / `phase` stamp as the per-record path.
-        let ttable = tail_bin_table();
+        let ttable = self.tail_table;
         for r in block {
             self.records += 1;
             self.ranks = self.ranks.max(r.rank + 1);

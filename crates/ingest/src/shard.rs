@@ -229,8 +229,11 @@ impl Default for SnapshotConfig {
 #[derive(Debug, Clone)]
 pub struct SnapshotBuilder {
     cfg: SnapshotConfig,
-    /// Bit-exact bin classifier for the configured duration geometry.
-    table: BinTable,
+    /// Bit-exact bin classifier for the configured duration geometry
+    /// (process-wide, shared with every same-geometry consumer).
+    table: &'static BinTable,
+    /// The tail-profile classifier ([`tail_bin_table`]).
+    tail_table: &'static BinTable,
     /// The configured geometry is the tail geometry at exactly double
     /// resolution (same range, 2× bins): a tail bin is the configured
     /// bin halved — `floor(f·2n)/2 = floor(f·n)` exactly, range checks
@@ -262,14 +265,16 @@ impl SnapshotBuilder {
     /// An empty builder over `cfg`'s geometry.
     pub fn new(cfg: SnapshotConfig) -> Self {
         let groups = cfg.rank_groups.max(1) as usize;
+        let tail_table = tail_bin_table();
+        let tg = tail_table.geometry();
         SnapshotBuilder {
             hitters: HeavyHitters::new(cfg.hitter_capacity),
             small: SmallWriteAgg::new(cfg.hitter_capacity),
-            table: BinTable::new(LogBins::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins)),
-            tail_nested: {
-                let tg = tail_bin_table().geometry();
-                cfg.hist_lo == tg.lo() && cfg.hist_hi == tg.hi() && cfg.hist_bins == 2 * tg.bins()
-            },
+            table: BinTable::shared(LogBins::new(cfg.hist_lo, cfg.hist_hi, cfg.hist_bins)),
+            tail_table,
+            tail_nested: cfg.hist_lo == tg.lo()
+                && cfg.hist_hi == tg.hi()
+                && cfg.hist_bins == 2 * tg.bins(),
             shards: Vec::new(),
             index: vec![NO_SHARD; KINDS * groups],
             lookup: FxHashMap::default(),
@@ -373,7 +378,7 @@ impl SnapshotBuilder {
         self.run_buf = run;
 
         // Pass 2 — everything else, in record order.
-        let ttable = tail_bin_table();
+        let ttable = self.tail_table;
         for r in block {
             let secs = r.secs();
             let group = r.rank % self.cfg.rank_groups.max(1);
